@@ -31,52 +31,20 @@ using namespace rprosa;
 
 namespace perfbench {
 
-SystemDef makeAdequacySystem(Rng &R, std::size_t Index) {
+std::vector<SystemDef> makeAdequacySystems(Rng &R, std::size_t Count) {
   static const char *const Policies[] = {"npfp", "edf", "fifo"};
-  SystemDef S;
-  S.Policy = Policies[Index % 3];
-  S.Sockets = static_cast<std::uint32_t>(1 + (Index / 27) % 4);
-  S.Fr = R.range(150, 400);
-  S.Sr = S.Fr + R.range(150, 500); // a successful read includes a poll
-  S.Sel = R.range(100, 300);
-  S.Disp = R.range(100, 250);
-  S.Compl = R.range(100, 350);
-  S.Idle = R.range(300, 1000);
-  const std::size_t N = R.range(3, 8);
-  // Load per job = callback + per-job scheduler overheads; the periods
-  // give the system a total load of 30-60%.
-  const Duration PerJobOverhead = S.Sr + S.Sel + S.Disp + S.Compl;
-  const std::uint64_t LoadPct = R.range(30, 60);
-  std::vector<std::uint32_t> Prios(N);
-  for (std::size_t I = 0; I < N; ++I)
-    Prios[I] = static_cast<std::uint32_t>(I + 1);
-  for (std::size_t I = N - 1; I > 0; --I)
-    std::swap(Prios[I], Prios[R.range(0, I)]);
-  for (std::size_t I = 0; I < N; ++I) {
-    TaskDef T;
-    T.Wcet = R.range(300, 3000);
-    T.Prio = Prios[I];
-    const Duration Period =
-        (N * (T.Wcet + PerJobOverhead) * 100 / LoadPct / 10 + 1) * 10;
-    T.Curve.Period = Period;
-    switch (R.range(0, 2)) {
-    case 0:
-      T.Curve.K = CurveDef::Kind::Periodic;
-      break;
-    case 1:
-      T.Curve.K = CurveDef::Kind::PeriodicJitter;
-      T.Curve.Jitter = R.range(0, Period / 2);
-      break;
-    default:
-      T.Curve.K = CurveDef::Kind::Bucket;
-      T.Curve.Burst = R.range(2, 3);
-      break;
-    }
-    if (S.Policy == std::string("edf"))
-      T.Deadline = Period * R.range(1, 3);
-    S.Tasks.push_back(T);
+  const std::vector<std::uint64_t> Tasks = evenlyShuffled(R, Count, 3, 8);
+  const std::vector<std::uint64_t> Loads = evenlyShuffled(R, Count, 30, 60);
+  std::vector<SystemDef> Defs;
+  for (std::size_t I = 0; I < Count; ++I) {
+    SystemShape Shape;
+    Shape.Policy = Policies[I % 3];
+    Shape.Sockets = static_cast<std::uint32_t>(1 + (I / 27) % 4);
+    Shape.Tasks = Tasks[I];
+    Shape.LoadPct = Loads[I];
+    Defs.push_back(makeSystem(R, Shape));
   }
-  return S;
+  return Defs;
 }
 
 namespace {
@@ -100,10 +68,11 @@ std::vector<Input> buildInputs(std::uint64_t Seed) {
                                          WorkloadStyle::Random,
                                          WorkloadStyle::Sparse};
   Rng R(Seed * 0x9e3779b97f4a7c15ull + 1);
+  std::vector<SystemDef> Defs = makeAdequacySystems(R, NumOps);
   std::vector<Input> In(NumOps);
   for (std::size_t I = 0; I < NumOps; ++I) {
     Input &X = In[I];
-    X.Def = makeAdequacySystem(R, I);
+    X.Def = std::move(Defs[I]);
     CheckResult Diags;
     std::optional<SystemSpec> Sys =
         parseSystemSpec(X.Def.specText("adequacy-" + std::to_string(I)),
@@ -306,14 +275,8 @@ std::string totalsNote(const Totals &T) {
 
 WorkloadResult runAdequacy(const RunOptions &O) {
   std::vector<Input> In = buildInputs(O.Seed);
-  const double Setup = secondsBetween(O.ProcessStart, Clock::now());
   Totals Tot;
-  std::vector<Operation> Ops = makeOps(In, Tot);
-  TimedOps T = timeOperations(Ops, O.Seconds);
-  WorkloadResult R;
-  addEndToEnd(R, T, Setup);
-  R.Notes.push_back(totalsNote(Tot));
-  return R;
+  return timeWorkload(O, makeOps(In, Tot), [&] { return totalsNote(Tot); });
 }
 
 void traceAdequacy(const RunOptions &O, TraceContext &C) {

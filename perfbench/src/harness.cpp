@@ -12,8 +12,6 @@
 #include <cstdlib>
 #include <numeric>
 
-#include <sys/resource.h>
-
 namespace perfbench {
 
 void CheckLog::expect(bool Ok, std::size_t Op, const std::string &What) {
@@ -29,8 +27,19 @@ bool CheckLog::failed(std::size_t Op) const {
   return false;
 }
 
-TimedOps timeOperations(const std::vector<Operation> &Ops, double Seconds,
-                        std::size_t MinPasses) {
+void roundRobin(std::size_t N, double Seconds,
+                const std::function<void(std::size_t I, std::size_t Pass)>
+                    &Step) {
+  constexpr std::size_t MinPasses = 3;
+  const Clock::time_point Start = Clock::now();
+  for (std::size_t Pass = 0;
+       Pass < MinPasses || secondsBetween(Start, Clock::now()) < Seconds;
+       ++Pass)
+    for (std::size_t K = 0; K < N; ++K)
+      Step((K + Pass) % N, Pass);
+}
+
+TimedOps timeOperations(const std::vector<Operation> &Ops, double Seconds) {
   TimedOps T;
   const std::size_t N = Ops.size();
   T.BestSec.assign(N, INFINITY);
@@ -48,26 +57,20 @@ TimedOps timeOperations(const std::vector<Operation> &Ops, double Seconds,
     }
   }
 
-  const Clock::time_point Start = Clock::now();
-  while (T.Passes < MinPasses ||
-         secondsBetween(Start, Clock::now()) < Seconds) {
-    for (std::size_t K = 0; K < N; ++K) {
-      // Rotating the start spreads each operation's neighbours.
-      const std::size_t I = (K + T.Passes) % N;
-      const Clock::time_point A = Clock::now();
-      const std::uint64_t D = Ops[I].Run(nullptr, I);
-      const Clock::time_point B = Clock::now();
-      T.BestSec[I] = std::min(T.BestSec[I], secondsBetween(A, B));
-      ++T.Attempted;
-      if (Bad[I] || D != Digest[I]) {
-        ++T.Failed;
-        if (!Bad[I])
-          T.Log.expect(false, I, Ops[I].Name + ": repetition digest differs");
-        Bad[I] = 1;
-      }
+  roundRobin(N, Seconds, [&](std::size_t I, std::size_t Pass) {
+    T.Passes = Pass + 1;
+    const Clock::time_point A = Clock::now();
+    const std::uint64_t D = Ops[I].Run(nullptr, I);
+    const Clock::time_point B = Clock::now();
+    T.BestSec[I] = std::min(T.BestSec[I], secondsBetween(A, B));
+    ++T.Attempted;
+    if (Bad[I] || D != Digest[I]) {
+      ++T.Failed;
+      if (!Bad[I])
+        T.Log.expect(false, I, Ops[I].Name + ": repetition digest differs");
+      Bad[I] = 1;
     }
-    ++T.Passes;
-  }
+  });
   return T;
 }
 
@@ -82,10 +85,16 @@ double quantile(std::vector<double> V, double Q) {
 }
 
 double peakRssMiB() {
-  struct rusage U;
-  if (getrusage(RUSAGE_SELF, &U) != 0)
+  std::FILE *F = std::fopen("/proc/self/status", "r");
+  if (!F)
     return 0;
-  return double(U.ru_maxrss) / 1024.0; // ru_maxrss is in KiB on Linux.
+  char Line[256];
+  unsigned long long KiB = 0;
+  while (std::fgets(Line, sizeof(Line), F))
+    if (std::sscanf(Line, "VmHWM: %llu kB", &KiB) == 1)
+      break;
+  std::fclose(F);
+  return double(KiB) / 1024.0;
 }
 
 double hostProbeMs() {
@@ -202,15 +211,22 @@ double LayerTimes::sumBest(const std::string &Layer) const {
   return S;
 }
 
-void addEndToEnd(WorkloadResult &R, const TimedOps &T, double SetupSec) {
+WorkloadResult timeWorkload(const RunOptions &O,
+                            const std::vector<Operation> &Ops,
+                            const std::function<std::string()> &TotalsNote) {
+  const double SetupSec = secondsBetween(O.ProcessStart, Clock::now());
+  const double SetupRss = peakRssMiB();
+  const TimedOps T = timeOperations(Ops, O.Seconds);
   const double Sum = std::accumulate(T.BestSec.begin(), T.BestSec.end(), 0.0);
   std::vector<double> Ms;
   for (double S : T.BestSec)
     Ms.push_back(S * 1e3);
+  const double PeakRss = peakRssMiB();
+  WorkloadResult R;
   R.Metrics.push_back({"ops_per_s", double(T.BestSec.size()) / Sum, "ops/s"});
   R.Metrics.push_back({"op_p50_ms", quantile(Ms, 0.5), "ms"});
   R.Metrics.push_back({"op_p90_ms", quantile(Ms, 0.9), "ms"});
-  R.Metrics.push_back({"peak_rss_mib", peakRssMiB(), "MiB"});
+  R.Metrics.push_back({"peak_rss_mib", PeakRss, "MiB"});
   R.Metrics.push_back({"setup_s", SetupSec, "s"});
   R.Attempted = T.Attempted;
   R.Failed = T.Failed;
@@ -220,6 +236,14 @@ void addEndToEnd(WorkloadResult &R, const TimedOps &T, double SetupSec) {
   R.Notes.push_back("timed passes " + std::to_string(T.Passes) + " over " +
                     std::to_string(T.BestSec.size()) + " operations, " +
                     std::to_string(T.Log.checks()) + " output checks");
+  char Buf[200];
+  std::snprintf(Buf, sizeof(Buf),
+                "peak RSS %.2f MiB: %.2f at main() entry, %.2f after "
+                "set-up, %.2f more in the operations and their checks",
+                PeakRss, O.EntryRssMiB, SetupRss, PeakRss - SetupRss);
+  R.Notes.push_back(Buf);
+  R.Notes.push_back(TotalsNote());
+  return R;
 }
 
 } // namespace perfbench

@@ -53,6 +53,8 @@ struct RunOptions {
   std::string OutDir = "perfbench/out";
   /// Instant main() was entered: set-up time is measured from here.
   Clock::time_point ProcessStart;
+  /// Peak resident set at that instant (peakRssMiB), MiB.
+  double EntryRssMiB = 0;
 };
 
 /// Seeded input generator. Integer draws are made with plain modulo
@@ -66,6 +68,11 @@ public:
     return Lo + G() % (Hi - Lo + 1);
   }
   std::uint64_t raw() { return G(); }
+  /// Shuffles \p V (Fisher-Yates, with range()).
+  template <class T> void shuffle(std::vector<T> &V) {
+    for (std::size_t I = V.size(); I > 1; --I)
+      std::swap(V[I - 1], V[range(0, I - 1)]);
+  }
 
 private:
   std::mt19937_64 G;
@@ -105,16 +112,25 @@ struct TimedOps {
   CheckLog Log;
 };
 
+/// Round-robin passes over \p N operations: whole passes, at least
+/// three, until \p Seconds have passed. Each pass starts one operation
+/// later than the one before, which spreads each operation's
+/// neighbours. \p Step gets the operation index and the pass number.
+void roundRobin(std::size_t N, double Seconds,
+                const std::function<void(std::size_t I, std::size_t Pass)>
+                    &Step);
+
 /// Warm-up-and-check pass, then round-robin timed passes until
-/// \p Seconds have passed (always at least \p MinPasses, and always
-/// whole passes).
-TimedOps timeOperations(const std::vector<Operation> &Ops, double Seconds,
-                        std::size_t MinPasses = 3);
+/// \p Seconds have passed.
+TimedOps timeOperations(const std::vector<Operation> &Ops, double Seconds);
 
 /// Interpolated quantile (0 <= Q <= 1) of \p V; V need not be sorted.
 double quantile(std::vector<double> V, double Q);
 
-/// Peak resident set of this process, MiB.
+/// Peak resident set of this process since it was started (VmHWM in
+/// /proc/self/status), MiB. getrusage's ru_maxrss is not used: Linux
+/// carries it over exec from the parent process, so under a launcher it
+/// reads the launcher's peak when that is higher.
 double peakRssMiB();
 
 /// A fixed integer kernel with no library code: the fastest of five
@@ -209,9 +225,13 @@ inline std::uint64_t mix(std::uint64_t H, std::uint64_t V) {
   return H * 0x100000001b3ull;
 }
 
-/// Adds the end-to-end metrics every workload reports from its timed
-/// operations and its set-up time.
-void addEndToEnd(WorkloadResult &R, const TimedOps &T, double SetupSec);
+/// The untraced run of a workload whose set-up has just ended: takes
+/// the set-up time from O.ProcessStart, times \p Ops (timeOperations)
+/// and reports the end-to-end metrics, with \p TotalsNote (called after
+/// the checked pass has filled the workload's totals) among the notes.
+WorkloadResult timeWorkload(const RunOptions &O,
+                            const std::vector<Operation> &Ops,
+                            const std::function<std::string()> &TotalsNote);
 
 } // namespace perfbench
 

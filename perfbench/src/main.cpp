@@ -42,23 +42,18 @@ void perfbench::checkedPass(const std::vector<Operation> &Ops,
 void perfbench::tracedPasses(
     TraceContext &C, const std::vector<Operation> &Ops, LayerTimes &L,
     const std::function<void(std::size_t I, std::uint32_t Op)> &Traced) {
-  const std::size_t N = Ops.size();
-  const Clock::time_point Start = Clock::now();
-  for (std::size_t Pass = 0;
-       Pass < 3 || secondsBetween(Start, Clock::now()) < C.Seconds; ++Pass)
-    for (std::size_t K = 0; K < N; ++K) {
-      const std::size_t I = (K + Pass) % N;
-      auto Untraced = [&] {
-        const Clock::time_point A = Clock::now();
-        Ops[I].Run(nullptr, I);
-        L.note("untraced", I, secondsBetween(A, Clock::now()));
-      };
-      if (Pass % 2 == 0)
-        Untraced();
-      Traced(I, C.NextOp++);
-      if (Pass % 2 == 1)
-        Untraced();
-    }
+  roundRobin(Ops.size(), C.Seconds, [&](std::size_t I, std::size_t Pass) {
+    auto Untraced = [&] {
+      const Clock::time_point A = Clock::now();
+      Ops[I].Run(nullptr, I);
+      L.note("untraced", I, secondsBetween(A, Clock::now()));
+    };
+    if (Pass % 2 == 0)
+      Untraced();
+    Traced(I, C.NextOp++);
+    if (Pass % 2 == 1)
+      Untraced();
+  });
 }
 
 void perfbench::noteOverhead(TraceContext &C, const std::string &Workload,
@@ -172,6 +167,7 @@ WorkloadResult runTraced(const RunOptions &O) {
 int main(int Argc, char **Argv) {
   RunOptions O;
   O.ProcessStart = Clock::now();
+  O.EntryRssMiB = peakRssMiB();
   if (!parseArgs(Argc, Argv, O) ||
       (O.Workload != "adequacy" && O.Workload != "trace_inspect" &&
        O.Workload != "rta_sweep" && O.Workload != "rossl_verify")) {

@@ -56,6 +56,68 @@ std::string SystemDef::specText(const std::string &Name) const {
   return S;
 }
 
+SystemDef makeSystem(Rng &R, const SystemShape &Shape) {
+  SystemDef S;
+  S.Policy = Shape.Policy;
+  S.Sockets = Shape.Sockets;
+  S.Fr = R.range(150, 400);
+  S.Sr = S.Fr + R.range(150, 500); // a successful read includes a poll
+  S.Sel = R.range(100, 300);
+  S.Disp = R.range(100, 250);
+  S.Compl = R.range(100, 350);
+  S.Idle = R.range(300, 1000);
+  const std::size_t N = Shape.Tasks;
+  // Load per job = callback + the scheduler overheads the analysis
+  // charges to one job: one successful read, two all-failed polling
+  // rounds (one within the read, one before selection: RB + PB in
+  // rta/bounds.h), selection, dispatch and completion. The periods give
+  // the system its total load. Leaving the polling rounds out put
+  // multi-socket systems near a load of 1, where one RTA busy window
+  // reached 1 s and its operation took 185 ms against about 3 ms.
+  const Duration PerJobOverhead =
+      S.Sr + 2 * Shape.Sockets * S.Fr + S.Sel + S.Disp + S.Compl;
+  const std::uint64_t LoadPct = Shape.LoadPct;
+  std::vector<std::uint32_t> Prios(N);
+  for (std::size_t I = 0; I < N; ++I)
+    Prios[I] = static_cast<std::uint32_t>(I + 1);
+  R.shuffle(Prios);
+  for (std::size_t I = 0; I < N; ++I) {
+    TaskDef T;
+    T.Wcet = R.range(Shape.WcetLo, Shape.WcetHi);
+    T.Prio = Prios[I];
+    const Duration Step = Shape.PeriodStep;
+    const Duration Period =
+        (N * (T.Wcet + PerJobOverhead) * 100 / LoadPct / Step + 1) * Step;
+    T.Curve.Period = Period;
+    switch (R.range(0, 2)) {
+    case 0:
+      T.Curve.K = CurveDef::Kind::Periodic;
+      break;
+    case 1:
+      T.Curve.K = CurveDef::Kind::PeriodicJitter;
+      T.Curve.Jitter = R.range(0, Period / 2);
+      break;
+    default:
+      T.Curve.K = CurveDef::Kind::Bucket;
+      T.Curve.Burst = R.range(Shape.BurstLo, Shape.BurstHi);
+      break;
+    }
+    if (S.Policy == "edf")
+      T.Deadline = Period * R.range(1, 3);
+    S.Tasks.push_back(T);
+  }
+  return S;
+}
+
+std::vector<std::uint64_t> evenlyShuffled(Rng &R, std::size_t Count,
+                                          std::uint64_t Lo, std::uint64_t Hi) {
+  std::vector<std::uint64_t> V(Count);
+  for (std::size_t I = 0; I < Count; ++I)
+    V[I] = Lo + (Hi - Lo + 1) * I / Count;
+  R.shuffle(V);
+  return V;
+}
+
 bool respectsCurve(const std::vector<Time> &Times, const CurveDef &C) {
   for (std::size_t I = 0; I < Times.size(); ++I)
     for (std::size_t J = I; J < Times.size(); ++J)

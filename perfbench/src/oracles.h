@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Computations the benchmark checks the library's outputs against.
+/// The random systems the workloads are built from, and the
+/// computations the benchmark checks the library's outputs against.
 /// None of them calls the code under test: curves are evaluated from
 /// their textbook definitions, arrival sequences are counted with a
 /// sliding window, and trace sinks only count and hash what they see.
@@ -58,6 +59,31 @@ struct SystemDef {
   /// The system in the spec format read by parseSystemSpec.
   std::string specText(const std::string &Name) const;
 };
+
+/// What the random systems of one workload have in common; the rest is
+/// drawn by makeSystem.
+struct SystemShape {
+  std::string Policy = "npfp";
+  std::uint32_t Sockets = 1;
+  std::size_t Tasks = 3;
+  /// Total load in percent, the scheduler overheads the analysis
+  /// charges to each job included.
+  std::uint64_t LoadPct = 30;
+  rprosa::Duration WcetLo = 300, WcetHi = 3000;
+  std::uint64_t BurstLo = 2, BurstHi = 3; ///< Of bucket curves.
+  /// Periods are rounded up to a multiple of this.
+  rprosa::Duration PeriodStep = 10;
+};
+
+/// A random system of \p Shape: scheduler WCETs, shuffled priorities,
+/// periodic, periodic-jitter and bucket curves, and deadlines under EDF.
+SystemDef makeSystem(Rng &R, const SystemShape &Shape);
+
+/// \p Count values spread evenly over [Lo, Hi], each value equally often
+/// where \p Count allows, in a seeded order: a set that takes one value
+/// from it per member has the same make-up on every seed.
+std::vector<std::uint64_t> evenlyShuffled(Rng &R, std::size_t Count,
+                                          std::uint64_t Lo, std::uint64_t Hi);
 
 /// Whether the sorted arrival instants \p Times respect \p C: every
 /// window [t_i, t_j] holds at most C.eval(t_j - t_i + 1) arrivals.

@@ -32,19 +32,28 @@ namespace {
 
 /// Task-count make-up of the query set, each count split evenly over
 /// the three policies. A fixed make-up keeps the total work of a run the
-/// same from seed to seed. The 16-task queries are the slowest; there
-/// are enough of them that the 90th percentile falls well inside their
-/// group instead of on its few slowest members.
+/// same from seed to seed. Query time grows with the task count, so the
+/// counts place each percentile well inside one group instead of on the
+/// border between two, where it would follow the seed: the median (56th
+/// of 111) is the middle 8-task query, and the 90th percentile the 31st
+/// of the 42 16-task queries.
 constexpr std::pair<std::size_t, std::size_t> Makeup[] = {
-    {2, 27}, {4, 27}, {8, 27}, {16, 30}};
+    {2, 21}, {4, 21}, {8, 27}, {16, 42}};
 constexpr std::uint32_t MaxSockets = 4;
-/// WCET scalings in percent of the base task set (25-35 % load): seven
-/// below full load and one far above it. Fixpoint iteration counts grow
-/// like 1 / |1 - load| near full load, so points there would make a
-/// query's cost, and with it the run's, depend on the seed by far more
-/// than the bounds allow; the gap between 200 % and 500 % keeps them out.
+/// WCET scalings in percent of the base task set (25-35 % load, shared
+/// evenly by its tasks): seven below full load and one, 200x, at which
+/// every task alone is overloaded (its own load is at least 1.3).
+/// Fixpoint iteration counts grow like 1 / |1 - load|, with load that of
+/// a priority level and the work interfering with it, so a point with
+/// such a load near 1 makes a query's cost, and with it the run's,
+/// depend on the seed by far more than the bounds allow. At 5x, one NPFP
+/// point whose interference load landed just above 1 took 212 ms against
+/// 1-3 ms for the other overloaded points. At 200x every busy-window
+/// search diverges geometrically: the overloaded points still iterate up
+/// to RtaConfig::FixedPointCap, as every overloaded point does, but
+/// about as often on every seed.
 constexpr std::uint64_t ScalePct[] = {100, 115, 130, 145,
-                                      160, 180, 200, 500};
+                                      160, 180, 200, 20000};
 constexpr std::size_t NumScales = std::size(ScalePct);
 
 struct Query {
@@ -56,50 +65,18 @@ struct Query {
   std::uint64_t SimSeed = 0;     ///< Seeds the simulated-point check.
 };
 
-SystemDef makeTaskSet(Rng &R, std::size_t NumTasks, std::size_t Policy) {
+SystemDef makeTaskSet(Rng &R, std::size_t NumTasks, std::size_t Policy,
+                      std::uint64_t LoadPct) {
   static const char *const Policies[] = {"npfp", "edf", "fifo"};
-  SystemDef S;
-  S.Policy = Policies[Policy];
-  S.Sockets = 1;
-  S.Fr = R.range(200, 600);
-  S.Sr = S.Fr + R.range(250, 750); // a successful read includes a poll
-  S.Sel = R.range(150, 450);
-  S.Disp = R.range(120, 380);
-  S.Compl = R.range(170, 530);
-  S.Idle = R.range(1000, 3000);
-  const Duration PerJobOverhead = S.Sr + S.Sel + S.Disp + S.Compl;
-  const std::uint64_t LoadPct = R.range(25, 35);
-  std::vector<std::uint32_t> Prios(NumTasks);
-  for (std::size_t I = 0; I < NumTasks; ++I)
-    Prios[I] = static_cast<std::uint32_t>(I + 1);
-  for (std::size_t I = NumTasks - 1; I > 0; --I)
-    std::swap(Prios[I], Prios[R.range(0, I)]);
-  for (std::size_t I = 0; I < NumTasks; ++I) {
-    TaskDef T;
-    T.Wcet = R.range(2000, 20000);
-    T.Prio = Prios[I];
-    const Duration Period =
-        (NumTasks * (T.Wcet + PerJobOverhead) * 100 / LoadPct / 100 + 1) *
-        100;
-    T.Curve.Period = Period;
-    switch (R.range(0, 2)) {
-    case 0:
-      T.Curve.K = CurveDef::Kind::Periodic;
-      break;
-    case 1:
-      T.Curve.K = CurveDef::Kind::PeriodicJitter;
-      T.Curve.Jitter = R.range(0, Period / 2);
-      break;
-    default:
-      T.Curve.K = CurveDef::Kind::Bucket;
-      T.Curve.Burst = R.range(1, 3);
-      break;
-    }
-    if (S.Policy == std::string("edf"))
-      T.Deadline = Period * R.range(1, 3);
-    S.Tasks.push_back(T);
-  }
-  return S;
+  SystemShape Shape;
+  Shape.Policy = Policies[Policy];
+  Shape.Tasks = NumTasks;
+  Shape.LoadPct = LoadPct;
+  Shape.WcetLo = 2000;
+  Shape.WcetHi = 20000;
+  Shape.BurstLo = 1;
+  Shape.PeriodStep = 100;
+  return makeSystem(R, Shape);
 }
 
 /// Set-up: parse each base task set and build its neighbourhood.
@@ -109,13 +86,16 @@ std::vector<Query> buildQueries(std::uint64_t Seed) {
   for (const auto &[Tasks, Count] : Makeup)
     for (std::size_t K = 0; K < Count; ++K)
       Shapes.emplace_back(Tasks, K % 3);
-  for (std::size_t I = Shapes.size() - 1; I > 0; --I)
-    std::swap(Shapes[I], Shapes[R.range(0, I)]);
+  R.shuffle(Shapes);
+  // Base loads of 25-35 %, each equally often: a query's cost follows its
+  // load, so a fixed make-up keeps the run's work the same on every seed.
+  const std::vector<std::uint64_t> Loads =
+      evenlyShuffled(R, Shapes.size(), 25, 35);
 
   std::vector<Query> Qs(Shapes.size());
   for (std::size_t I = 0; I < Shapes.size(); ++I) {
     Query &Q = Qs[I];
-    Q.Def = makeTaskSet(R, Shapes[I].first, Shapes[I].second);
+    Q.Def = makeTaskSet(R, Shapes[I].first, Shapes[I].second, Loads[I]);
     Q.SimSeed = R.raw();
     CheckResult Diags;
     std::optional<SystemSpec> Sys =
@@ -334,14 +314,9 @@ std::string totalsNote(const std::vector<Query> &Qs, const Totals &T) {
 
 WorkloadResult runRtaSweep(const RunOptions &O) {
   std::vector<Query> Qs = buildQueries(O.Seed);
-  const double Setup = secondsBetween(O.ProcessStart, Clock::now());
   Totals Tot;
-  std::vector<Operation> Ops = makeOps(Qs, Tot);
-  TimedOps T = timeOperations(Ops, O.Seconds);
-  WorkloadResult R;
-  addEndToEnd(R, T, Setup);
-  R.Notes.push_back(totalsNote(Qs, Tot));
-  return R;
+  return timeWorkload(O, makeOps(Qs, Tot),
+                      [&] { return totalsNote(Qs, Tot); });
 }
 
 void traceRtaSweep(const RunOptions &O, TraceContext &C) {

@@ -79,9 +79,10 @@ std::vector<Recording> record(std::uint64_t Seed, const RecordDir &Dir,
                                          WorkloadStyle::Random,
                                          WorkloadStyle::Sparse};
   Rng R(Seed * 0x9e3779b97f4a7c15ull + 2);
+  const std::vector<SystemDef> Defs = makeAdequacySystems(R, NumOps);
   std::vector<Recording> Recs(NumOps);
   for (std::size_t I = 0; I < NumOps; ++I) {
-    const SystemDef Def = makeAdequacySystem(R, I);
+    const SystemDef &Def = Defs[I];
     CheckResult Diags;
     std::optional<SystemSpec> Sys =
         parseSystemSpec(Def.specText("inspect-" + std::to_string(I)), &Diags);
@@ -217,13 +218,7 @@ std::string totalsNote(const std::vector<Recording> &Recs) {
 WorkloadResult runTraceInspect(const RunOptions &O) {
   RecordDir Dir(O.OutDir);
   std::vector<Recording> Recs = record(O.Seed, Dir, /*KeepTrace=*/false);
-  const double Setup = secondsBetween(O.ProcessStart, Clock::now());
-  std::vector<Operation> Ops = makeOps(Recs);
-  TimedOps T = timeOperations(Ops, O.Seconds);
-  WorkloadResult R;
-  addEndToEnd(R, T, Setup);
-  R.Notes.push_back(totalsNote(Recs));
-  return R;
+  return timeWorkload(O, makeOps(Recs), [&] { return totalsNote(Recs); });
 }
 
 void traceTraceInspect(const RunOptions &O, TraceContext &C) {

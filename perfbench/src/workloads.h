@@ -47,8 +47,8 @@ struct TraceContext {
 /// with checks, counting into \p C.
 void checkedPass(const std::vector<Operation> &Ops, TraceContext &C);
 
-/// Round-robin traced passes over \p Ops: at least three, and more while
-/// C.Seconds lasts. Each step runs operation I untraced (timed into
+/// Round-robin traced passes over \p Ops (roundRobin) for C.Seconds.
+/// Each step runs operation I untraced (timed into
 /// layer "untraced" of \p L) and calls \p Traced with I and a fresh
 /// operation id for its spans; the two swap order every pass, so
 /// neither always finds the caches warmed by the other.
@@ -62,10 +62,12 @@ void tracedPasses(
 void noteOverhead(TraceContext &C, const std::string &Workload,
                   const LayerTimes &L);
 
-/// The adequacy-style random system of operation \p Index: 3-8 tasks of
-/// the three curve kinds; the policy and socket count (1-4) follow the
-/// index, so every seed has the same make-up.
-SystemDef makeAdequacySystem(Rng &R, std::size_t Index);
+/// \p Count adequacy-style random systems: the policy and socket count
+/// (1-4) follow the index; the task count (3-8) and the load (30-60 %)
+/// take every value equally often, in a seeded order. So every seed has
+/// the same make-up, and about the same arrivals to generate at set-up,
+/// whose cost grows with the square of a task's arrivals.
+std::vector<SystemDef> makeAdequacySystems(Rng &R, std::size_t Count);
 
 WorkloadResult runAdequacy(const RunOptions &O);
 void traceAdequacy(const RunOptions &O, TraceContext &C);

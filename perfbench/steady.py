@@ -10,7 +10,8 @@ spread (q3 - q1) / median, and, for end-to-end metrics, the bound from
 BENCHMARK.json with the spread as a share of it. The host probe of every
 run (a fixed integer kernel, printed by the benchmark) is listed too, so
 a slow host phase can be told apart from a slow program. Exit code 1
-when a run fails or a spread other than setup_s exceeds its bound.
+when a run fails, when the share of failed operations differs between
+runs, or when the spread of any end-to-end metric exceeds its bound.
 """
 
 import argparse
@@ -86,11 +87,12 @@ def main():
               (name, med, q1, q3, 100 * spread,
                "" if bound is None else "%.0f%%" % (100 * bound),
                "" if rel is None else "%.2f" % rel))
-        if bound is not None and name != "setup_s" and spread > bound:
+        if bound is not None and spread > bound:
             ok = False
     print("\nhost probe ms: " + ", ".join("%.3f" % p for p in probes
                                           if p is not None))
     print("failed shares: %s" % sorted(shares))
+    ok &= len(shares) == 1
     print("steady" if ok else "NOT steady")
     return 0 if ok else 1
 
