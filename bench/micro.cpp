@@ -21,6 +21,7 @@
 #include "sim/environment.h"
 #include "sim/workload.h"
 #include "trace/consistency.h"
+#include "trace/chunked_io.h"
 #include "trace/online_monitor.h"
 #include "trace/serialize.h"
 #include "trace/functional.h"
@@ -30,6 +31,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <sstream>
 
 using namespace rprosa;
 
@@ -196,6 +198,32 @@ void BM_SerializeRoundTrip(benchmark::State &State) {
   State.counters["bytes"] = double(Text.size());
 }
 BENCHMARK(BM_SerializeRoundTrip)->Unit(benchmark::kMicrosecond);
+
+/// Counts markers and drops them: the reader's cost alone.
+class CountingSink final : public TraceSink {
+public:
+  void onMarker(const MarkerEvent &, Time) override { ++Markers; }
+  void onEnd(Time) override {}
+  std::size_t Markers = 0;
+};
+
+void BM_ReadTraceStreamV2(benchmark::State &State) {
+  const Fixture &F = sharedFixture();
+  std::ostringstream Out;
+  writeTraceStream(Out, F.TT);
+  const std::string Text = Out.str();
+  for (auto _ : State) {
+    std::istringstream In(Text);
+    CountingSink Sink;
+    readTraceStream(In, Sink);
+    benchmark::DoNotOptimize(Sink.Markers);
+  }
+  State.counters["bytes/s"] = benchmark::Counter(
+      double(Text.size()), benchmark::Counter::kIsIterationInvariantRate);
+  State.counters["markers/s"] = benchmark::Counter(
+      double(F.TT.size()), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_ReadTraceStreamV2)->Unit(benchmark::kMicrosecond);
 
 void BM_OnlineMonitor(benchmark::State &State) {
   const Fixture &F = sharedFixture();

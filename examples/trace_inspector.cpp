@@ -33,12 +33,14 @@
 #include "trace/chunked_io.h"
 #include "trace/stream.h"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <string_view>
 
 using namespace rprosa;
 
@@ -196,12 +198,23 @@ int inspect(std::istream &In, std::uint32_t NumSockets) {
 
 int main(int Argc, char **Argv) {
   if (Argc >= 3) {
-    std::ifstream In(Argv[1]);
+    const std::string_view Arg(Argv[2]);
+    std::uint32_t NumSockets = 0;
+    auto [End, Ec] =
+        std::from_chars(Arg.data(), Arg.data() + Arg.size(), NumSockets);
+    if (Ec != std::errc() || End != Arg.data() + Arg.size() ||
+        NumSockets == 0) {
+      std::printf("usage: trace_inspector <trace-file> <num-sockets>; "
+                  "<num-sockets> must be a positive integer, got '%s'\n",
+                  Argv[2]);
+      return 2;
+    }
+    std::ifstream In(Argv[1], std::ios::binary);
     if (!In) {
       std::printf("cannot open %s\n", Argv[1]);
       return 1;
     }
-    return inspect(In, static_cast<std::uint32_t>(std::stoul(Argv[2])));
+    return inspect(In, NumSockets);
   }
   std::printf("no trace file given; running the self-demo "
               "(usage: trace_inspector <file> <num-sockets>; v1 and "

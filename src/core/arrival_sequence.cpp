@@ -14,16 +14,20 @@
 
 using namespace rprosa;
 
-Time rprosa::earliestCompliantArrival(const ArrivalCurve &Curve,
-                                      const std::vector<Time> &Prev,
-                                      Time Proposed) {
+Duration CompliantArrivals::minWindow(std::uint64_t Count) {
+  while (Windows.size() <= Count)
+    Windows.push_back(minWindowAdmitting(*Curve, Windows.size()));
+  return Windows[Count];
+}
+
+Time CompliantArrivals::earliest(const std::vector<Time> &Prev,
+                                 Time Proposed) {
   Time Earliest = Proposed;
   // Constraint from each suffix of previous arrivals: the K arrivals
   // Prev[J..] plus the new one fit in a window of length
   // (t - Prev[J] + 1), which must admit K+1 arrivals.
   for (std::size_t J = 0; J < Prev.size(); ++J) {
-    std::uint64_t Count = Prev.size() - J + 1;
-    Duration NeedLen = minWindowAdmitting(Curve, Count);
+    Duration NeedLen = minWindow(Prev.size() - J + 1);
     if (NeedLen == TimeInfinity)
       return TimeInfinity; // Curve admits no more arrivals, ever.
     // Need t - Prev[J] + 1 >= NeedLen, i.e. t >= Prev[J] + NeedLen - 1.

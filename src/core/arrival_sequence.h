@@ -35,16 +35,30 @@ struct Arrival {
   Message Msg;
 };
 
-/// The earliest instant >= \p Proposed at which one more arrival of a
-/// task with arrival curve \p Curve may be appended after the ascending
-/// times in \p Prev without violating Eq. 2 on any window anchored at a
-/// previous arrival; TimeInfinity when the curve admits no further
-/// arrival at all. The workload generator (sim/workload) and the SAG
-/// counterexample realizer (sag/backtrack) both push proposed instants
-/// through this function, so every sequence they emit passes
-/// respectsCurves by construction.
-Time earliestCompliantArrival(const ArrivalCurve &Curve,
-                              const std::vector<Time> &Prev, Time Proposed);
+/// The push rule of compliant arrival generation for one task with
+/// arrival curve \p Curve. earliest(Prev, Proposed) is the earliest
+/// instant >= \p Proposed at which one more arrival may be appended
+/// after the ascending times in \p Prev without violating Eq. 2 on any
+/// window anchored at a previous arrival; TimeInfinity when the curve
+/// admits no further arrival at all. The window each suffix needs,
+/// minWindowAdmitting(Curve, K), depends only on K, so it is searched
+/// once per K and memoized, grown on demand. The workload generator
+/// (sim/workload) and the SAG job-set builder and counterexample
+/// realizer (sag/state, sag/backtrack) keep one rule per task, so every
+/// sequence they emit passes respectsCurves by construction.
+class CompliantArrivals {
+public:
+  explicit CompliantArrivals(const ArrivalCurve &Curve) : Curve(&Curve) {}
+
+  Time earliest(const std::vector<Time> &Prev, Time Proposed);
+
+  /// minWindowAdmitting(Curve, Count), memoized.
+  Duration minWindow(std::uint64_t Count);
+
+private:
+  const ArrivalCurve *Curve;
+  std::vector<Duration> Windows; ///< Windows[K] = minWindow(K).
+};
 
 /// A finite arrival sequence for one run.
 class ArrivalSequence {

@@ -10,7 +10,7 @@
 /// an interval argument, not a run. This module walks the predecessor
 /// edges back to the root, realizes the path as a *concrete,
 /// curve-compliant* arrival sequence (per-job desired instants pushed
-/// through core's earliestCompliantArrival), and replays it through
+/// through core's CompliantArrivals rule), and replays it through
 /// the simulator (AlwaysWcet cost model) with the five streaming check
 /// sinks plus the DeadlineCheckSink attached. Only a replay whose
 /// trace exhibits a miss upgrades the candidate to Unschedulable —

@@ -55,10 +55,11 @@ SagModel SagModel::build(const TaskSet &Tasks, const BasicActionWcets &W,
                           " has no deadline (required for NP-EDF)");
       return M;
     }
+    CompliantArrivals Rule(*T.Curve);
     std::vector<Time> Times;
     for (;;) {
       Time Last = Times.empty() ? 0 : Times.back();
-      Time At = earliestCompliantArrival(*T.Curve, Times, Last);
+      Time At = Rule.earliest(Times, Last);
       if (At == TimeInfinity || At >= Cfg.Horizon)
         break;
       if (M.Jobs.size() >= JobCap) {

@@ -18,16 +18,16 @@ namespace {
 class TaskArrivalBuilder {
 public:
   TaskArrivalBuilder(const Task &T, SplitMix64 Rng)
-      : T(T), Rng(Rng),
+      : Rng(Rng), Rule(*T.Curve),
         // The minimum steady-state gap: how far apart two consecutive
         // arrivals must at least be once a long prefix exists. Derived
         // from the window needed for 2 arrivals.
-        MinGap(minWindowAdmitting(*T.Curve, 2)) {}
+        MinGap(Rule.minWindow(2)) {}
 
   /// The earliest compliant time >= Proposed for the next arrival,
   /// given all previous arrival times (core's shared push rule).
-  Time earliestCompliantAt(Time Proposed) const {
-    return earliestCompliantArrival(*T.Curve, Times, Proposed);
+  Time earliestCompliantAt(Time Proposed) {
+    return Rule.earliest(Times, Proposed);
   }
 
   void commit(Time T_) { Times.push_back(T_); }
@@ -43,8 +43,8 @@ public:
   }
 
 private:
-  const Task &T;
   SplitMix64 Rng;
+  CompliantArrivals Rule;
   Duration MinGap;
   std::vector<Time> Times;
 };

@@ -7,9 +7,9 @@
 #include "trace/chunked_io.h"
 
 #include <algorithm>
-#include <charconv>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -46,38 +46,13 @@ void ChunkedTraceWriter::onEnd(Time EndTime) {
 
 namespace {
 
-/// First whitespace-separated token of \p Line and the rest after it.
-std::pair<std::string, std::string> splitFirst(const std::string &Line) {
-  std::size_t B = Line.find_first_not_of(" \t");
-  if (B == std::string::npos)
-    return {"", ""};
-  std::size_t E = Line.find_first_of(" \t", B);
-  if (E == std::string::npos)
-    return {Line.substr(B), ""};
-  std::size_t R = Line.find_first_not_of(" \t", E);
-  return {Line.substr(B, E - B),
-          R == std::string::npos ? "" : Line.substr(R)};
-}
-
-std::optional<std::uint64_t> tokU64(const std::string &Tok) {
-  if (Tok.empty())
-    return std::nullopt;
-  for (char C : Tok)
-    if (C < '0' || C > '9')
-      return std::nullopt;
-  std::uint64_t V = 0;
-  auto [Ptr, Ec] = std::from_chars(Tok.data(), Tok.data() + Tok.size(), V);
-  if (Ec != std::errc() || Ptr != Tok.data() + Tok.size())
-    return std::nullopt;
-  return V;
-}
-
 struct Reader {
   std::istream &In;
   TraceSink &Sink;
   CheckResult *Diags;
   TraceStreamStats *Stats;
   std::size_t LineNo = 0;
+  std::string Line = {}; ///< The current line; one buffer for the read.
 
   bool fail(const std::string &Why) {
     if (Diags)
@@ -86,35 +61,38 @@ struct Reader {
     return false;
   }
 
-  /// Next non-empty line; false at end of stream. Only valid *between*
-  /// records: inside a chunk body every line is an event, so blank
-  /// lines must be diagnosed, not skipped (nextLineRaw).
-  bool nextLine(std::string &Line) {
-    while (std::getline(In, Line)) {
-      ++LineNo;
-      if (!Line.empty() &&
-          Line.find_first_not_of(" \t\r") != std::string::npos)
-        return true;
-    }
-    return false;
-  }
-
   /// Next line verbatim (chunk bodies); false at end of stream.
-  bool nextLineRaw(std::string &Line) {
+  bool nextLineRaw() {
     if (!std::getline(In, Line))
       return false;
     ++LineNo;
     return true;
   }
 
-  void sawEvent() {
+  /// Next non-blank line; false at end of stream. Only valid *between*
+  /// records: inside a chunk body every line is an event, so blank
+  /// lines must be diagnosed, not skipped (nextLineRaw).
+  bool nextLine() {
+    while (nextLineRaw())
+      if (!TraceLineCursor(Line).atEnd())
+        return true;
+    return false;
+  }
+
+  /// Parses the current line as a marker line, diagnosing it if bad.
+  bool parseEvent(Time &Ts, MarkerEvent &E) {
+    std::string Why;
+    return parseMarkerLine(Line, Ts, E, &Why) || fail(Why);
+  }
+
+  void deliver(const MarkerEvent &E, Time Ts) {
+    Sink.onMarker(E, Ts);
     if (Stats)
       ++Stats->Events;
   }
 
   bool finish(Time EndTime) {
-    std::string Line;
-    if (nextLine(Line))
+    if (nextLine())
       return fail("content after the end line");
     if (Stats)
       Stats->SawEnd = true;
@@ -122,43 +100,43 @@ struct Reader {
     return true;
   }
 
-  bool runV1() {
-    std::string Line;
-    while (nextLine(Line)) {
-      auto [First, Rest] = splitFirst(Line);
-      if (First == "end") {
-        auto End = tokU64(splitFirst(Rest).first);
-        if (!End)
-          return fail("malformed end time");
-        return finish(*End);
-      }
-      Time Ts = 0;
-      MarkerEvent E;
-      std::string Why;
-      if (!parseMarkerLine(Line, Ts, E, &Why))
-        return fail(Why);
-      Sink.onMarker(E, Ts);
-      sawEvent();
-    }
-    return fail("missing end line");
-  }
+  /// Reads the header line and then the records of a v1 file, or of a
+  /// v2 file when \p AcceptV2.
+  bool run(bool AcceptV2) {
+    LineNo = 1;
+    if (!std::getline(In, Line))
+      return fail("missing or unknown header");
+    std::string_view Header = Line;
+    if (!Header.empty() && Header.back() == '\r')
+      Header.remove_suffix(1);
+    const bool Chunked = AcceptV2 && Header == "refinedprosa-trace v2";
+    if (!Chunked && Header != "refinedprosa-trace v1")
+      return fail("missing or unknown header");
 
-  bool runV2() {
-    std::string Line;
     // Parsed-but-undelivered events of the chunk in flight: delivery
     // happens only once the whole chunk parsed (no partial chunks).
     std::vector<std::pair<MarkerEvent, Time>> Chunk;
-    while (nextLine(Line)) {
-      auto [First, Rest] = splitFirst(Line);
+    while (nextLine()) {
+      TraceLineCursor T(Line);
+      const std::string_view First = T.next();
       if (First == "end") {
-        auto End = tokU64(splitFirst(Rest).first);
+        std::optional<std::uint64_t> End = T.nextU64();
         if (!End)
           return fail("malformed end time");
         return finish(*End);
       }
+      if (!Chunked) {
+        Time Ts = 0;
+        MarkerEvent E;
+        if (!parseEvent(Ts, E))
+          return false;
+        deliver(E, Ts);
+        continue;
+      }
       if (First != "chunk")
-        return fail("expected a chunk or end line, got '" + First + "'");
-      auto Count = tokU64(splitFirst(Rest).first);
+        return fail("expected a chunk or end line, got '" +
+                    std::string(First) + "'");
+      std::optional<std::uint64_t> Count = T.nextU64();
       if (!Count)
         return fail("malformed chunk header");
       if (*Count == 0)
@@ -166,32 +144,29 @@ struct Reader {
                     "never emits empty chunks; torn or corrupted "
                     "header?)");
 
+      // Reserve at most a default-sized chunk: a corrupted count must
+      // not allocate ahead of the lines actually read.
       Chunk.clear();
       Chunk.reserve(static_cast<std::size_t>(
-          std::min<std::uint64_t>(*Count, 1 << 20)));
+          std::min<std::uint64_t>(*Count, DefaultEventsPerChunk)));
       for (std::uint64_t I = 0; I < *Count; ++I) {
         // Chunk bodies are read verbatim: a blank line here is a torn
         // write blanking an event, and silently skipping it would
         // misattribute the damage to the next line's parse.
-        if (!nextLineRaw(Line))
+        if (!nextLineRaw())
           return fail("truncated chunk (expected " +
                       std::to_string(*Count) + " events, got " +
                       std::to_string(I) + ")");
-        if (Line.find_first_not_of(" \t\r") == std::string::npos)
+        if (TraceLineCursor(Line).atEnd())
           return fail("blank line inside a chunk body (event " +
                       std::to_string(I + 1) + " of " +
                       std::to_string(*Count) + "; torn write?)");
-        Time Ts = 0;
-        MarkerEvent E;
-        std::string Why;
-        if (!parseMarkerLine(Line, Ts, E, &Why))
-          return fail(Why);
-        Chunk.emplace_back(std::move(E), Ts);
+        auto &[E, Ts] = Chunk.emplace_back();
+        if (!parseEvent(Ts, E))
+          return false;
       }
-      for (const auto &[E, Ts] : Chunk) {
-        Sink.onMarker(E, Ts);
-        sawEvent();
-      }
+      for (const auto &[E, Ts] : Chunk)
+        deliver(E, Ts);
       if (Stats)
         ++Stats->Chunks;
     }
@@ -203,20 +178,16 @@ struct Reader {
 
 bool rprosa::readTraceStream(std::istream &In, TraceSink &Sink,
                              CheckResult *Diags, TraceStreamStats *Stats) {
-  Reader R{In, Sink, Diags, Stats};
-  std::string Header;
-  if (!std::getline(In, Header)) {
-    R.LineNo = 1;
-    return R.fail("missing or unknown header");
-  }
-  R.LineNo = 1;
-  if (!Header.empty() && Header.back() == '\r')
-    Header.pop_back();
-  if (Header == "refinedprosa-trace v2")
-    return R.runV2();
-  if (Header == "refinedprosa-trace v1")
-    return R.runV1();
-  return R.fail("missing or unknown header");
+  return Reader{In, Sink, Diags, Stats}.run(/*AcceptV2=*/true);
+}
+
+std::optional<TimedTrace> rprosa::parseTimedTrace(const std::string &Text,
+                                                  CheckResult *Diags) {
+  std::istringstream In(Text);
+  VectorSink V;
+  if (!Reader{In, V, Diags, nullptr}.run(/*AcceptV2=*/false))
+    return std::nullopt;
+  return V.take();
 }
 
 void rprosa::writeTraceStream(std::ostream &Out, const TimedTrace &TT,

@@ -25,6 +25,10 @@
 /// torn final chunk yields a clean diagnostic and delivers nothing from
 /// that chunk (and no onEnd), never a partial chunk. This is the
 /// crash-consistency story: everything a sink saw was durably framed.
+/// Memory stays bounded by one chunk: lines are read one at a time into
+/// one buffer and tokenized in place by TraceLineCursor, the same
+/// tokenizer for marker lines, chunk headers and end lines, so CRLF
+/// files read like LF ones in both formats.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,13 +44,17 @@
 
 namespace rprosa {
 
+/// Chunk size of the writers when none is given; the reader also
+/// reserves at most this many events ahead of a chunk's lines.
+inline constexpr std::size_t DefaultEventsPerChunk = 4096;
+
 /// Streams markers into \p Out in the v2 chunked format. The header is
 /// written on construction, each chunk when it fills, the end line at
 /// onEnd.
 class ChunkedTraceWriter final : public TraceSink {
 public:
-  explicit ChunkedTraceWriter(std::ostream &Out,
-                              std::size_t EventsPerChunk = 4096);
+  explicit ChunkedTraceWriter(
+      std::ostream &Out, std::size_t EventsPerChunk = DefaultEventsPerChunk);
 
   void onMarker(const MarkerEvent &E, Time At) override;
   void onEnd(Time EndTime) override;
@@ -86,7 +94,7 @@ bool readTraceStream(std::istream &In, TraceSink &Sink,
 /// either format into a materialized trace (nullopt on malformed
 /// input).
 void writeTraceStream(std::ostream &Out, const TimedTrace &TT,
-                      std::size_t EventsPerChunk = 4096);
+                      std::size_t EventsPerChunk = DefaultEventsPerChunk);
 std::optional<TimedTrace> readTimedTrace(std::istream &In,
                                          CheckResult *Diags = nullptr);
 

@@ -6,25 +6,26 @@
 
 #include "trace/serialize.h"
 
-#include <charconv>
-#include <sstream>
-
 using namespace rprosa;
 
+/// Appends the decimal digits of \p V to \p Out in place.
+static void appendU64(std::string &Out, std::uint64_t V) {
+  const std::size_t At = Out.size();
+  Out.resize(At + 20); // The digits of 2^64 - 1.
+  char *Last = std::to_chars(Out.data() + At, Out.data() + Out.size(), V).ptr;
+  Out.resize(static_cast<std::size_t>(Last - Out.data()));
+}
+
 static void appendJobFields(std::string &Out, const Job &J) {
-  Out += ' ';
-  Out += std::to_string(J.Id);
-  Out += ' ';
-  Out += std::to_string(J.Msg);
-  Out += ' ';
-  Out += std::to_string(J.Task);
-  Out += ' ';
-  Out += std::to_string(J.ReadAt);
+  for (std::uint64_t V : {J.Id, J.Msg, std::uint64_t(J.Task), J.ReadAt}) {
+    Out += ' ';
+    appendU64(Out, V);
+  }
 }
 
 void rprosa::appendMarkerLine(std::string &Out, Time Ts,
                               const MarkerEvent &E) {
-  Out += std::to_string(Ts);
+  appendU64(Out, Ts);
   Out += ' ';
   switch (E.Kind) {
   case MarkerKind::ReadS:
@@ -32,7 +33,7 @@ void rprosa::appendMarkerLine(std::string &Out, Time Ts,
     break;
   case MarkerKind::ReadE:
     Out += "ReadE ";
-    Out += std::to_string(E.Socket);
+    appendU64(Out, E.Socket);
     if (E.J) {
       Out += " ok";
       appendJobFields(Out, *E.J);
@@ -53,7 +54,7 @@ void rprosa::appendMarkerLine(std::string &Out, Time Ts,
     if (E.J) {
       appendJobFields(Out, *E.J);
       Out += ' ';
-      Out += std::to_string(E.J->Socket);
+      appendU64(Out, E.J->Socket);
     }
     break;
   }
@@ -68,52 +69,15 @@ std::string rprosa::serializeTimedTrace(const TimedTrace &TT) {
   std::string Out = "refinedprosa-trace v1\n";
   for (std::size_t I = 0; I < TT.size(); ++I)
     appendMarkerLine(Out, TT.Ts[I], TT.Tr[I]);
-  Out += "end " + std::to_string(TT.EndTime) + "\n";
+  Out += "end ";
+  appendU64(Out, TT.EndTime);
+  Out += '\n';
   return Out;
 }
 
 namespace {
 
-/// Decimal u64 with explicit overflow rejection — stoull would throw
-/// (and a 21-digit timestamp would crash the "returns diagnostics
-/// instead of crashing" contract).
-std::optional<std::uint64_t> parseU64(const std::string &Tok) {
-  if (Tok.empty())
-    return std::nullopt;
-  for (char C : Tok)
-    if (C < '0' || C > '9')
-      return std::nullopt;
-  std::uint64_t V = 0;
-  auto [Ptr, Ec] = std::from_chars(Tok.data(), Tok.data() + Tok.size(), V);
-  if (Ec != std::errc() || Ptr != Tok.data() + Tok.size())
-    return std::nullopt;
-  return V;
-}
-
-/// Whitespace tokenizer over one line.
-class LineTokens {
-public:
-  explicit LineTokens(const std::string &Line) : In(Line) {}
-
-  std::optional<std::string> next() {
-    std::string Tok;
-    if (In >> Tok)
-      return Tok;
-    return std::nullopt;
-  }
-
-  std::optional<std::uint64_t> nextU64() {
-    std::optional<std::string> Tok = next();
-    if (!Tok)
-      return std::nullopt;
-    return parseU64(*Tok);
-  }
-
-private:
-  std::istringstream In;
-};
-
-std::optional<Job> parseJobFields(LineTokens &T, bool WithSocket) {
+std::optional<Job> parseJobFields(TraceLineCursor &T, bool WithSocket) {
   Job J;
   auto Id = T.nextU64();
   auto Msg = T.nextU64();
@@ -142,111 +106,53 @@ bool lineFail(std::string *Why, std::string Message) {
 
 } // namespace
 
-bool rprosa::parseMarkerLine(const std::string &Line, Time &Ts,
+bool rprosa::parseMarkerLine(std::string_view Line, Time &Ts,
                              MarkerEvent &E, std::string *Why) {
-  LineTokens T(Line);
-  std::optional<std::string> First = T.next();
-  if (!First)
-    return lineFail(Why, "expected a timestamp");
-
-  std::optional<std::uint64_t> Stamp = parseU64(*First);
+  TraceLineCursor T(Line);
+  std::optional<std::uint64_t> Stamp = T.nextU64();
   if (!Stamp)
     return lineFail(Why, "expected a timestamp");
   Ts = *Stamp;
 
-  std::optional<std::string> Kind = T.next();
-  if (!Kind)
+  const std::string_view Kind = T.next();
+  if (Kind.empty())
     return lineFail(Why, "missing marker kind");
 
-  if (*Kind == "ReadS") {
+  if (Kind == "ReadS") {
     E = MarkerEvent::readS();
-  } else if (*Kind == "ReadE") {
+  } else if (Kind == "ReadE") {
     auto Sock = T.nextU64();
-    std::optional<std::string> Status = T.next();
-    if (!Sock || !Status)
+    const std::string_view Status = T.next();
+    if (!Sock || Status.empty())
       return lineFail(Why, "malformed ReadE");
-    if (*Status == "ok") {
+    if (Status == "ok") {
       std::optional<Job> J = parseJobFields(T, /*WithSocket=*/false);
       if (!J)
         return lineFail(Why, "malformed ReadE job fields");
       J->Socket = static_cast<SocketId>(*Sock);
       E = MarkerEvent::readE(static_cast<SocketId>(*Sock), *J);
-    } else if (*Status == "fail") {
+    } else if (Status == "fail") {
       E = MarkerEvent::readE(static_cast<SocketId>(*Sock), std::nullopt);
     } else {
       return lineFail(Why, "ReadE status must be ok/fail");
     }
-  } else if (*Kind == "Selection") {
+  } else if (Kind == "Selection") {
     E = MarkerEvent::selection();
-  } else if (*Kind == "Idling") {
+  } else if (Kind == "Idling") {
     E = MarkerEvent::idling();
-  } else if (*Kind == "Dispatch" || *Kind == "Execution" ||
-             *Kind == "Completion") {
+  } else if (Kind == "Dispatch" || Kind == "Execution" ||
+             Kind == "Completion") {
     std::optional<Job> J = parseJobFields(T, /*WithSocket=*/true);
     if (!J)
-      return lineFail(Why, "malformed " + *Kind + " job fields");
-    if (*Kind == "Dispatch")
+      return lineFail(Why, "malformed " + std::string(Kind) + " job fields");
+    if (Kind == "Dispatch")
       E = MarkerEvent::dispatch(*J);
-    else if (*Kind == "Execution")
+    else if (Kind == "Execution")
       E = MarkerEvent::execution(*J);
     else
       E = MarkerEvent::completion(*J);
   } else {
-    return lineFail(Why, "unknown marker kind '" + *Kind + "'");
+    return lineFail(Why, "unknown marker kind '" + std::string(Kind) + "'");
   }
   return true;
-}
-
-std::optional<TimedTrace> rprosa::parseTimedTrace(const std::string &Text,
-                                                  CheckResult *Diags) {
-  auto Fail = [&](std::size_t LineNo, const std::string &Why)
-      -> std::optional<TimedTrace> {
-    if (Diags)
-      Diags->addFailure("trace parse error at line " +
-                        std::to_string(LineNo) + ": " + Why);
-    return std::nullopt;
-  };
-
-  std::istringstream In(Text);
-  std::string Line;
-  std::size_t LineNo = 0;
-
-  if (!std::getline(In, Line) || Line != "refinedprosa-trace v1")
-    return Fail(1, "missing or unknown header");
-  ++LineNo;
-
-  TimedTrace TT;
-  bool SawEnd = false;
-  while (std::getline(In, Line)) {
-    ++LineNo;
-    if (Line.empty())
-      continue;
-    {
-      LineTokens T(Line);
-      std::optional<std::string> First = T.next();
-      if (!First)
-        continue;
-      if (*First == "end") {
-        auto End = T.nextU64();
-        if (!End)
-          return Fail(LineNo, "malformed end time");
-        TT.EndTime = *End;
-        SawEnd = true;
-        continue;
-      }
-    }
-    if (SawEnd)
-      return Fail(LineNo, "content after the end line");
-
-    Time Ts = 0;
-    MarkerEvent E;
-    std::string Why;
-    if (!parseMarkerLine(Line, Ts, E, &Why))
-      return Fail(LineNo, Why);
-    TT.Tr.push_back(std::move(E));
-    TT.Ts.push_back(Ts);
-  }
-  if (!SawEnd)
-    return Fail(LineNo, "missing end line");
-  return TT;
 }

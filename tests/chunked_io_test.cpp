@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "sim/workload.h"
+#include "support/rng.h"
 #include "trace/chunked_io.h"
 #include "trace/serialize.h"
 #include "trace/stream.h"
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 using namespace rprosa;
@@ -72,6 +74,24 @@ FailedRead expectMalformed(const std::string &Text) {
   EXPECT_FALSE(R.Stats.SawEnd);
   EXPECT_FALSE(R.Diags.passed());
   return R;
+}
+
+/// Reads \p Text, expecting success; the v1 rendering of what it read.
+std::string expectWellFormed(const std::string &Text) {
+  std::istringstream In(Text);
+  CheckResult Diags;
+  std::optional<TimedTrace> TT = readTimedTrace(In, &Diags);
+  EXPECT_TRUE(TT.has_value()) << Diags.describe() << "\n" << Text;
+  return TT ? serializeTimedTrace(*TT) : "";
+}
+
+/// \p Text with every occurrence of \p From replaced by \p To.
+std::string replaceAll(std::string Text, const std::string &From,
+                       const std::string &To) {
+  for (std::size_t At = Text.find(From); At != std::string::npos;
+       At = Text.find(From, At + To.size()))
+    Text.replace(At, From.size(), To);
+  return Text;
 }
 
 } // namespace
@@ -272,4 +292,235 @@ TEST(ChunkedErrorPath, ReadTimedTraceReturnsNulloptOnMalformedInput) {
   CheckResult Diags;
   EXPECT_FALSE(readTimedTrace(In, &Diags).has_value());
   EXPECT_FALSE(Diags.passed());
+}
+
+TEST(ChunkedAcceptSet, CrlfFilesReadLikeLfFiles) {
+  // Both formats, CRLF line ends on every line: the same events as the
+  // LF file, and the v1 batch parser agrees.
+  TimedTrace TT = simTrace();
+  const std::string Want = serializeTimedTrace(TT);
+  EXPECT_EQ(expectWellFormed(replaceAll(writeV2(TT, 16), "\n", "\r\n")),
+            Want);
+  EXPECT_EQ(expectWellFormed(replaceAll(Want, "\n", "\r\n")), Want);
+  std::optional<TimedTrace> Batch =
+      parseTimedTrace(replaceAll(Want, "\n", "\r\n"));
+  ASSERT_TRUE(Batch.has_value());
+  EXPECT_EQ(serializeTimedTrace(*Batch), Want);
+}
+
+TEST(ChunkedAcceptSet, TabVerticalTabAndFormFeedSeparateTokens) {
+  // Every separator after the header line (which must match exactly).
+  const std::string Text(WellFormedV2);
+  const std::size_t Body = Text.find('\n') + 1;
+  const std::string Want = expectWellFormed(Text);
+  for (const char *Sep : {"\t", "\v", "\f", " \t\v\f "})
+    EXPECT_EQ(expectWellFormed(Text.substr(0, Body) +
+                               replaceAll(Text.substr(Body), " ", Sep)),
+              Want)
+        << "separator " << int(Sep[0]);
+}
+
+TEST(ChunkedAcceptSet, TrailingExtraTokensAreIgnored) {
+  // Accepted since the first reader; pinned so the accept set only
+  // ever grows.
+  std::string Text = replaceAll(WellFormedV2, "chunk 3\n", "chunk 3 x\n");
+  Text = replaceAll(Text, "5 Selection\n", "5 Selection extra 7\n");
+  Text = replaceAll(Text, "2 ReadE 0 fail\n", "2 ReadE 0 fail 9\n");
+  Text = replaceAll(Text, "end 12\n", "end 12 done\n");
+  EXPECT_EQ(expectWellFormed(Text), expectWellFormed(WellFormedV2));
+}
+
+TEST(ChunkedAcceptSet, U64MaxIsTheLargestNumber) {
+  const std::string Max = "18446744073709551615";
+  std::string Text = replaceAll(WellFormedV2, "8 Idling", Max + " Idling");
+  Text = replaceAll(Text, "9 ReadS", Max + " ReadS");
+  Text = replaceAll(Text, "end 12", "end " + Max);
+  std::istringstream In(Text);
+  std::optional<TimedTrace> TT = readTimedTrace(In);
+  ASSERT_TRUE(TT.has_value());
+  EXPECT_EQ(TT->Ts.back(), ~std::uint64_t(0));
+  EXPECT_EQ(TT->EndTime, ~std::uint64_t(0));
+
+  const std::string Over = "18446744073709551616";
+  FailedRead R = expectMalformed(
+      replaceAll(WellFormedV2, "8 Idling", Over + " Idling"));
+  EXPECT_NE(R.Diags.describe().find("at line 7: expected a timestamp"),
+            std::string::npos)
+      << R.Diags.describe();
+  R = expectMalformed(replaceAll(WellFormedV2, "end 12", "end " + Over));
+  EXPECT_NE(R.Diags.describe().find("malformed end time"),
+            std::string::npos);
+  R = expectMalformed(replaceAll(WellFormedV2, "chunk 2", "chunk " + Over));
+  EXPECT_NE(R.Diags.describe().find("malformed chunk header"),
+            std::string::npos);
+}
+
+TEST(ChunkedAcceptSet, SignedNumbersAreRejected) {
+  for (const char *Sign : {"+", "-"}) {
+    const std::string S(Sign);
+    FailedRead R = expectMalformed(
+        replaceAll(WellFormedV2, "5 Selection", S + "5 Selection"));
+    EXPECT_NE(R.Diags.describe().find("at line 5: expected a timestamp"),
+              std::string::npos)
+        << R.Diags.describe();
+    R = expectMalformed(
+        replaceAll(WellFormedV2, "2 ReadE 0 fail", "2 ReadE " + S + "0 fail"));
+    EXPECT_NE(R.Diags.describe().find("at line 4: malformed ReadE"),
+              std::string::npos)
+        << R.Diags.describe();
+    R = expectMalformed(replaceAll(WellFormedV2, "chunk 2", "chunk " + S + "2"));
+    EXPECT_NE(R.Diags.describe().find("at line 6: malformed chunk header"),
+              std::string::npos)
+        << R.Diags.describe();
+    R = expectMalformed(replaceAll(WellFormedV2, "end 12", "end " + S + "12"));
+    EXPECT_NE(R.Diags.describe().find("at line 9: malformed end time"),
+              std::string::npos)
+        << R.Diags.describe();
+  }
+}
+
+TEST(ChunkedErrorPath, MalformedLineInTheSecondChunkNamesItsFileLine) {
+  // "9 ReadS" is line 8 of the file (event 2 of the second chunk).
+  FailedRead R =
+      expectMalformed(replaceAll(WellFormedV2, "9 ReadS", "9 ReadX"));
+  EXPECT_NE(R.Diags.describe().find(
+                "trace parse error at line 8: unknown marker kind 'ReadX'"),
+            std::string::npos)
+      << R.Diags.describe();
+  EXPECT_EQ(R.V.trace().size(), 3u);
+  EXPECT_EQ(R.Stats.Chunks, 1u);
+}
+
+namespace {
+
+/// One seeded mutation of a trace text: a byte flip, a truncation, a
+/// duplicated, deleted or blank line, or an inserted carriage return.
+void mutate(std::string &Text, SplitMix64 &Rng) {
+  static const char Bytes[] = {'0', '9', ' ', '\t', '\r', '\n', 'x', '-',
+                               '+', '\0', 'e', 'k'};
+  auto LineStart = [&](std::size_t At) {
+    std::size_t B = Text.rfind('\n', At == 0 ? 0 : At - 1);
+    return B == std::string::npos || At == 0 ? 0 : B + 1;
+  };
+  if (Text.empty()) {
+    Text += "\n";
+    return;
+  }
+  const std::size_t At = Rng.nextInRange(0, Text.size() - 1);
+  switch (Rng.nextInRange(0, 5)) {
+  case 0: // Byte flip.
+    Text[At] = Rng.nextInRange(0, 3) == 0
+                   ? char(Rng.nextInRange(0, 255))
+                   : Bytes[Rng.nextInRange(0, sizeof(Bytes) - 1)];
+    break;
+  case 1: // Truncation.
+    Text.resize(At);
+    break;
+  case 2: { // Duplicated line.
+    std::size_t B = LineStart(At), E = Text.find('\n', At);
+    E = E == std::string::npos ? Text.size() : E + 1;
+    Text.insert(B, Text.substr(B, E - B));
+    break;
+  }
+  case 3: { // Deleted line.
+    std::size_t B = LineStart(At), E = Text.find('\n', At);
+    Text.erase(B, E == std::string::npos ? std::string::npos : E + 1 - B);
+    break;
+  }
+  case 4: // Blank line.
+    Text.insert(LineStart(At), "\n");
+    break;
+  default: // Carriage return, before a line end or anywhere.
+    if (std::size_t E = Text.find('\n', At); E != std::string::npos &&
+                                             Rng.nextInRange(0, 1))
+      Text.insert(E, "\r");
+    else
+      Text.insert(At, "\r");
+    break;
+  }
+}
+
+/// The events announced by the first \p K chunk headers of \p Text,
+/// found by an independent walk over its lines.
+std::uint64_t eventsInFirstChunks(const std::string &Text, std::size_t K) {
+  std::istringstream In(Text);
+  std::string Line;
+  std::getline(In, Line); // Header.
+  std::uint64_t Sum = 0;
+  while (K > 0 && std::getline(In, Line)) {
+    std::istringstream Toks(Line);
+    std::string Kw;
+    std::uint64_t N = 0;
+    if (!(Toks >> Kw))
+      continue; // Blank line between chunks.
+    EXPECT_EQ(Kw, "chunk");
+    Toks >> N;
+    Sum += N;
+    --K;
+    for (std::uint64_t I = 0; I < N; ++I)
+      std::getline(In, Line);
+  }
+  EXPECT_EQ(K, 0u) << "fewer chunk headers than delivered chunks";
+  return Sum;
+}
+
+} // namespace
+
+TEST(ChunkedFuzz, MutatedStreamsReadCleanlyOrFailWholeChunks) {
+  // Every mutant of a v1 or v2 stream either reads to onEnd — and its
+  // events then re-serialize to a fixed point — or fails with a
+  // positioned diagnostic after delivering only whole chunks.
+  const std::uint64_t Seed = fuzzSeed(2028);
+  SplitMix64 Rng(Seed);
+  TimedTrace TT = simTrace();
+  TT.Tr.resize(40);
+  TT.Ts.resize(40);
+  const std::string Bases[] = {serializeTimedTrace(TT), writeV2(TT, 7),
+                               writeV2(TT, 1)};
+  std::size_t Accepted = 0, Rejected = 0;
+  for (int Round = 0; Round < 3000; ++Round) {
+    const std::string &Base = Bases[Round % 3];
+    std::string Text = Base;
+    for (std::uint64_t M = Rng.nextInRange(1, 3); M > 0; --M)
+      mutate(Text, Rng);
+    const std::string Where = "round " + std::to_string(Round) +
+                              "; replay: RPROSA_FUZZ_SEED=" +
+                              std::to_string(Seed);
+
+    std::istringstream In(Text);
+    VectorSink V;
+    CheckResult Diags;
+    TraceStreamStats Stats;
+    const bool Ok = readTraceStream(In, V, &Diags, &Stats);
+    ASSERT_EQ(Stats.Events, V.trace().size()) << Where;
+    ASSERT_EQ(Ok, V.finished()) << Where;
+    ASSERT_EQ(Ok, Stats.SawEnd) << Where;
+    if (Ok) {
+      ++Accepted;
+      const std::string Once = serializeTimedTrace(V.take());
+      std::optional<TimedTrace> Again = parseTimedTrace(Once);
+      ASSERT_TRUE(Again.has_value()) << Where;
+      ASSERT_EQ(serializeTimedTrace(*Again), Once) << Where;
+      ASSERT_EQ(expectWellFormed(writeV2(*Again, 5)), Once) << Where;
+      continue;
+    }
+    ++Rejected;
+    const std::string Why = Diags.describe();
+    const std::string Prefix = "trace parse error at line ";
+    const std::size_t P = Why.find(Prefix);
+    ASSERT_NE(P, std::string::npos) << Where << ": " << Why;
+    const std::size_t LineNo = std::stoull(Why.substr(P + Prefix.size()));
+    const std::size_t Lines =
+        std::count(Text.begin(), Text.end(), '\n') +
+        (!Text.empty() && Text.back() != '\n');
+    ASSERT_GE(LineNo, 1u) << Where;
+    ASSERT_LE(LineNo, std::max<std::size_t>(Lines, 1)) << Where;
+    if (Text.rfind("refinedprosa-trace v2", 0) == 0) {
+      ASSERT_EQ(Stats.Events, eventsInFirstChunks(Text, Stats.Chunks))
+          << Where << ": a partial chunk reached the sink";
+    }
+  }
+  // Both outcomes must be exercised for the test to mean anything.
+  EXPECT_GT(Accepted, 100u);
+  EXPECT_GT(Rejected, 100u);
 }

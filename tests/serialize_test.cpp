@@ -104,6 +104,41 @@ TEST(Serialize, RejectsTrailingContentAfterEnd) {
                    .has_value());
 }
 
+TEST(Serialize, RejectsASecondEndLine) {
+  // The batch parser is the v1 path of readTraceStream, so a second end
+  // line is content after the end line.
+  CheckResult Diags;
+  EXPECT_FALSE(parseTimedTrace("refinedprosa-trace v1\n0 ReadS\nend 5\n"
+                               "end 9\n",
+                               &Diags)
+                   .has_value());
+  EXPECT_NE(Diags.describe().find(
+                "trace parse error at line 4: content after the end line"),
+            std::string::npos)
+      << Diags.describe();
+}
+
+TEST(Serialize, AcceptsACarriageReturnTerminatedHeader) {
+  std::optional<TimedTrace> Parsed =
+      parseTimedTrace("refinedprosa-trace v1\r\n3 ReadS\r\nend 9\r\n");
+  ASSERT_TRUE(Parsed.has_value());
+  ASSERT_EQ(Parsed->size(), 1u);
+  EXPECT_EQ(Parsed->Ts[0], 3u);
+  EXPECT_EQ(Parsed->EndTime, 9u);
+}
+
+TEST(Serialize, RejectsTheChunkedFormat) {
+  // v2 text goes through readTraceStream; the batch parser is v1 only.
+  CheckResult Diags;
+  EXPECT_FALSE(parseTimedTrace("refinedprosa-trace v2\nchunk 1\n0 ReadS\n"
+                               "end 1\n",
+                               &Diags)
+                   .has_value());
+  EXPECT_NE(Diags.describe().find("at line 1: missing or unknown header"),
+            std::string::npos)
+      << Diags.describe();
+}
+
 TEST(Serialize, ParsedTraceStillPassesCheckers) {
   // Serialization must preserve everything the checkers look at.
   ClientConfig C = makeClient(figure3Tasks(), 1);
